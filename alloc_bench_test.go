@@ -22,7 +22,7 @@ const (
 	pollCommitAllocBudget    = 4  // measured 1 alloc/op for poll(1)+commit
 	frameIngestAllocBudget   = 96 // measured 47 allocs/frame through all 4 tiers
 	incidentTickAllocBudget  = 0  // quiescent correlation cycle must not allocate
-	labeledHandleAllocBudget = 0  // cached vec handle records must not allocate
+	labeledHandleAllocBudget = 0  // cached (or nil, inert) vec handle records must not allocate
 )
 
 func allocCluster(tb testing.TB, rf int) *stream.Cluster {
@@ -160,6 +160,8 @@ func TestIncidentTickAllocBudget(t *testing.T) {
 // here multiplies by fleet width times frame rate. Both a materialized
 // (top-K) handle and a handle folded into the {~other} rollup are gated:
 // demotion swaps an atomic pointer, it must not change the record cost.
+// The nil handles the frame path records through while fleet telemetry is
+// disabled are gated too: they must neither panic nor allocate.
 func TestLabeledHandleAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocs/op")
@@ -182,7 +184,8 @@ func TestLabeledHandleAllocBudget(t *testing.T) {
 			overflow = [3]any{c, g, h}
 		}
 	}
-	for name, handles := range map[string][3]any{"top-K": real, "rolled-up": overflow} {
+	inert := [3]any{(*telemetry.LabeledCounter)(nil), (*telemetry.LabeledGauge)(nil), (*telemetry.LabeledHistogram)(nil)}
+	for name, handles := range map[string][3]any{"top-K": real, "rolled-up": overflow, "inert": inert} {
 		c := handles[0].(*telemetry.LabeledCounter)
 		g := handles[1].(*telemetry.LabeledGauge)
 		h := handles[2].(*telemetry.LabeledHistogram)

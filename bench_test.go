@@ -138,25 +138,6 @@ func BenchmarkHBaseRandomReads(b *testing.B) {
 	}
 }
 
-func BenchmarkStreamProduceConsume(b *testing.B) {
-	broker := stream.NewBroker()
-	if err := broker.CreateTopic("bench", 4); err != nil {
-		b.Fatal(err)
-	}
-	payload := []byte("camera frame annotation record")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := broker.Produce("bench", fmt.Sprintf("k%d", i%16), payload); err != nil {
-			b.Fatal(err)
-		}
-		if i%100 == 99 {
-			if _, err := broker.Poll("g", "bench", 100); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 func BenchmarkDataprocWordCount(b *testing.B) {
 	docs := make([]any, 500)
 	for i := range docs {

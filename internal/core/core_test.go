@@ -129,6 +129,39 @@ func TestCrimeIngestAndDistrictScan(t *testing.T) {
 	}
 }
 
+// Each crime row's meta columns are written in one fixed order, so their
+// cell timestamps rise in that order on every run.
+func TestCrimeMetaColumnsWriteInFixedOrder(t *testing.T) {
+	inf := bootSmall(t)
+	cfg := citydata.DefaultCrimeConfig(inf.Config().Epoch)
+	cfg.Count = 20
+	incidents, err := citydata.GenerateCrimes(cfg, inf.Gang.Nodes(), rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inf.IngestCrimes(incidents, ""); err != nil {
+		t.Fatal(err)
+	}
+	order := []string{"offense", "code", "address", "district", "time", "agency", "lat", "lon"}
+	for _, inc := range incidents {
+		rows, err := inf.CrimeTab.ScanPrefix(crimeRowKey(inc))
+		if err != nil || len(rows) != 1 {
+			t.Fatalf("row %s: %d rows, err %v", crimeRowKey(inc), len(rows), err)
+		}
+		ts := make(map[string]int64)
+		for _, c := range rows[0].Cells {
+			if c.Family == "meta" {
+				ts[c.Qualifier] = c.Timestamp
+			}
+		}
+		for i := 1; i < len(order); i++ {
+			if ts[order[i]] <= ts[order[i-1]] {
+				t.Fatalf("row %s: meta timestamps %v do not rise in order %v", rows[0].Row, ts, order)
+			}
+		}
+	}
+}
+
 func TestWazeAnd911Ingest(t *testing.T) {
 	inf := bootSmall(t)
 	rng := rand.New(rand.NewSource(4))

@@ -172,11 +172,16 @@ func (fl *Fleet) camera(id string) *camHandles {
 	return h
 }
 
-// fleetCam is the frame path's accessor: nil when the dimensional layer is
-// disabled, so call sites stay a nil check away from free.
+// inertCam is the bundle fleetCam hands out while the dimensional layer is
+// disabled: every handle is nil, and nil vec handles record nothing.
+var inertCam = &camHandles{}
+
+// fleetCam is the frame path's accessor. It always returns a usable bundle,
+// so the frame path records per-camera signals without checking whether the
+// layer is on.
 func (inf *Infrastructure) fleetCam(id string) *camHandles {
 	if inf.Fleet == nil {
-		return nil
+		return inertCam
 	}
 	return inf.Fleet.camera(id)
 }

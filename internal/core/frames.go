@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
-	"time"
 
 	"repro/internal/control"
 	"repro/internal/telemetry"
@@ -61,9 +60,7 @@ func (inf *Infrastructure) IngestFrames(frames []FrameEvent, archiveDir string) 
 		if shedFloor := inf.Knobs.ShedLevel(); shedFloor > 0 && f.Priority < shedFloor {
 			out.Shed++
 			inf.framesShed.Add(1)
-			if cam := inf.fleetCam(f.CameraID); cam != nil {
-				cam.shed.Inc()
-			}
+			inf.fleetCam(f.CameraID).shed.Inc()
 			continue
 		}
 		ps, traceID, offloaded, err := inf.ingestFrame(f, archiveDir)
@@ -91,31 +88,17 @@ func (inf *Infrastructure) ingestFrame(f FrameEvent, archiveDir string) (stats P
 	threshold := inf.Knobs.OffloadThreshold()
 	tier := inf.Knobs.InferenceTier()
 	stats = PipelineStats{Collected: 1}
-	start := time.Now()
-	root := inf.traceIngest("ingest-frame")
-	rootCtx := root.Context()
-	traceID = rootCtx.TraceID
 	cam := inf.fleetCam(f.CameraID)
-	if cam != nil {
-		cam.ingested.Inc()
-	}
-	pi := inf.profIngest.Start()
-	defer func() {
-		pi.End()
-		root.End()
-		inf.recordPipeline(&stats, start, rootCtx.TraceID)
-		if cam != nil {
-			cam.e2e.Observe(time.Since(start).Seconds())
-		}
-	}()
+	run := inf.startRun("ingest-frame", cam.e2e)
+	defer run.end(&stats)
+	rootCtx := run.ctx
+	traceID = rootCtx.TraceID
+	cam.ingested.Inc()
 
 	// Edge tier: frame capture plus the tiny exit-1 model.
-	spCapture := root.Child("capture")
-	spCapture.SetTier("edge")
-	pc := inf.profCollect.Start()
+	capture := startStage(run.root, "capture", "edge", inf.profCollect)
 	body, merr := json.Marshal(f)
-	pc.End()
-	spCapture.End()
+	capture.End()
 	if merr != nil {
 		return stats, traceID, false, fmt.Errorf("marshal frame: %w", merr)
 	}
@@ -123,11 +106,9 @@ func (inf *Infrastructure) ingestFrame(f FrameEvent, archiveDir string) (stats P
 	// Fog tier: the early-exit gate decides whether the frame's feature map
 	// must continue upstream, and stamps the decision — and the root trace
 	// context — onto the record headers that will cross the broker.
-	spGate := root.Child("early-exit-gate")
-	spGate.SetTier("fog")
-	pg := inf.profGate.Start()
+	gate := startStage(run.root, "early-exit-gate", "fog", inf.profGate)
 	offload = f.Confidence < threshold
-	if cam != nil && offload {
+	if offload {
 		cam.offloaded.Inc()
 	}
 	headers := rootCtx.Inject(map[string]string{
@@ -135,8 +116,7 @@ func (inf *Infrastructure) ingestFrame(f FrameEvent, archiveDir string) (stats P
 		"seq":     strconv.Itoa(f.Seq),
 		"offload": strconv.FormatBool(offload),
 	})
-	pg.End()
-	spGate.End()
+	gate.End()
 
 	// Fog-local inference: when the controller has migrated inference off
 	// the analysis tier (broker uplink stressed, servers hot), the fog node
@@ -144,28 +124,20 @@ func (inf *Infrastructure) ingestFrame(f FrameEvent, archiveDir string) (stats P
 	// through — no broker hop, no feature-map archive, the same trade
 	// EdgeLens makes when relocating the detection service down-tier.
 	if tier == control.TierFog {
-		spFog := root.Child("fog-inference")
-		spFog.SetTier("fog")
-		pinf := inf.profInference.Start()
-		inf.archiveFrame(spFog, f, body, false, "", rootCtx.TraceID, &stats)
-		pinf.End()
-		spFog.End()
+		fog := startStage(run.root, "fog-inference", "fog", inf.profInference)
+		inf.archiveFrame(fog.span, f, body, false, "", rootCtx.TraceID, &stats)
+		fog.End()
 		return stats, traceID, offload, nil
 	}
 
-	spProduce := root.Child("offload-produce")
-	spProduce.SetTier("fog")
-	pst := inf.profStream.Start()
+	produce := startStage(run.root, "offload-produce", "fog", inf.profStream)
 	cs, perr := inf.produceWithRetry("frames", f.CameraID, body, headers)
 	stats.Retries += cs.Retries
 	if perr != nil {
 		inf.deadLetter(&stats, "frames", "produce", f.CameraID, body, perr, rootCtx.TraceID)
-		if cam != nil {
-			cam.undelivered.Inc()
-		}
+		cam.undelivered.Inc()
 	}
-	pst.End()
-	spProduce.End()
+	produce.End()
 
 	// Server tier: drain the inference topic. Each record carries its own
 	// propagated context, so records from this frame, stragglers from earlier
@@ -196,7 +168,7 @@ func (inf *Infrastructure) ingestFrame(f FrameEvent, archiveDir string) (stats P
 		}
 		stats.Streamed += len(recs)
 		for _, rec := range recs {
-			inf.serveFrame(rec.Headers, rec.Key, rec.Value, root, rootCtx, archiveDir, &stats)
+			inf.serveFrame(rec.Headers, rec.Key, rec.Value, run.root, rootCtx, archiveDir, &stats)
 		}
 		// Every record in the batch was served (or quarantined); advance the
 		// inference group's offsets so only a crash mid-batch can redeliver.
@@ -228,9 +200,7 @@ func (inf *Infrastructure) serveFrame(headers map[string]string, key string, val
 		inf.deadLetter(stats, "frames", "decode", key, value, err, ctx.TraceID)
 		// The record key is the producing camera's id, so even a poisoned
 		// payload stays attributed in the fleet accounting.
-		if cam := inf.fleetCam(key); cam != nil {
-			cam.undelivered.Inc()
-		}
+		inf.fleetCam(key).undelivered.Inc()
 		return
 	}
 	offloaded := headers["offload"] == "true"
@@ -243,9 +213,8 @@ func (inf *Infrastructure) serveFrame(headers map[string]string, key string, val
 // anchors the archive span ("inference" on the server path, "fog-inference"
 // on the fog-local path).
 func (inf *Infrastructure) archiveFrame(parent *telemetry.Span, f FrameEvent, value []byte, offloaded bool, archiveDir, traceID string, stats *PipelineStats) {
-	spArchive := parent.Child("archive")
-	spArchive.SetTier("cloud")
-	defer spArchive.End()
+	archive := startStage(parent, "archive", "cloud", nil)
+	defer archive.End()
 	cam := inf.fleetCam(f.CameraID)
 	row := fmt.Sprintf("%s|%06d", f.CameraID, f.Seq)
 	putCell := func(family, qual string, val []byte) error {
@@ -260,17 +229,13 @@ func (inf *Infrastructure) archiveFrame(parent *telemetry.Span, f FrameEvent, va
 	}
 	if err := putCell("det", "class", []byte(f.Class)); err != nil {
 		inf.deadLetter(stats, "frames", "hbase", row, value, err, traceID)
-		if cam != nil {
-			cam.undelivered.Inc()
-		}
+		cam.undelivered.Inc()
 		return
 	}
 	stats.Stored++
 	if err := putCell("det", "confidence", []byte(strconv.FormatFloat(f.Confidence, 'f', 4, 64))); err != nil {
 		inf.deadLetter(stats, "frames", "hbase", row, value, err, traceID)
-		if cam != nil {
-			cam.undelivered.Inc()
-		}
+		cam.undelivered.Inc()
 		return
 	}
 	stats.Stored++
@@ -280,14 +245,10 @@ func (inf *Infrastructure) archiveFrame(parent *telemetry.Span, f FrameEvent, va
 		stats.Retries += cs.Retries
 		if err != nil {
 			inf.deadLetter(stats, "frames", "hdfs", path, value, err, traceID)
-			if cam != nil {
-				cam.undelivered.Inc()
-			}
+			cam.undelivered.Inc()
 			return
 		}
 		stats.Stored++
 	}
-	if cam != nil {
-		cam.delivered.Inc()
-	}
+	cam.delivered.Inc()
 }

@@ -51,25 +51,16 @@ func recordTraceID(r stream.Record, fallback string) string {
 // dead-letter collection while the drain keeps going.
 func (inf *Infrastructure) IngestTweets(tweets []citydata.Tweet) (PipelineStats, error) {
 	stats := PipelineStats{Collected: len(tweets)}
-	start := time.Now()
-	root := inf.traceIngest("ingest-tweets")
-	rootCtx := root.Context()
-	pi := inf.profIngest.Start()
-	defer func() {
-		pi.End()
-		root.End()
-		inf.recordPipeline(&stats, start, rootCtx.TraceID)
-	}()
+	run := inf.startRun("ingest-tweets", nil)
+	defer run.end(&stats)
+	rootCtx := run.ctx
 
-	spCollect := root.Child("collect")
-	spCollect.SetTier("edge")
-	pc := inf.profCollect.Start()
+	collect := startStage(run.root, "collect", "edge", inf.profCollect)
 	events := make([]flume.Event, len(tweets))
 	for i, tw := range tweets {
 		body, err := json.Marshal(tw)
 		if err != nil {
-			pc.End()
-			spCollect.End()
+			collect.End()
 			return PipelineStats{}, fmt.Errorf("marshal tweet: %w", err)
 		}
 		// The root's trace context rides the flume event headers, which the
@@ -80,12 +71,9 @@ func (inf *Infrastructure) IngestTweets(tweets []citydata.Tweet) (PipelineStats,
 			Body:    body,
 		}
 	}
-	pc.End()
-	spCollect.End()
+	collect.End()
 
-	spStream := root.Child("stream")
-	spStream.SetTier("fog")
-	pst := inf.profStream.Start()
+	produce := startStage(run.root, "stream", "fog", inf.profStream)
 	sink := flume.NewDedupSink(
 		func(e flume.Event) string { return e.Headers["id"] },
 		func(e flume.Event) error {
@@ -106,8 +94,7 @@ func (inf *Infrastructure) IngestTweets(tweets []citydata.Tweet) (PipelineStats,
 	// absorb other pipelines' retries.
 	stats.Retries += agent.Metrics().Retries
 	stats.Retries += inf.redrive(dlq, sink, &stats, "tweets")
-	pst.End()
-	spStream.End()
+	produce.End()
 
 	// Storage tier: drain broker into docstore. The store span continues the
 	// trace context propagated on the first polled record, joining the
@@ -131,7 +118,7 @@ func (inf *Infrastructure) IngestTweets(tweets []citydata.Tweet) (PipelineStats,
 			break
 		}
 		if spStore == nil {
-			spStore = inf.remoteTierSpan(recs, root, "store", "server")
+			spStore = inf.remoteTierSpan(recs, run.root, "store", "server")
 		}
 		stats.Streamed += len(recs)
 		for _, r := range recs {
@@ -209,25 +196,16 @@ func (inf *Infrastructure) deadLetter(stats *PipelineStats, source, stage, key s
 // with the same quarantine-and-continue semantics as the tweet path.
 func (inf *Infrastructure) IngestWaze(reports []citydata.WazeReport) (PipelineStats, error) {
 	stats := PipelineStats{Collected: len(reports)}
-	start := time.Now()
-	root := inf.traceIngest("ingest-waze")
-	rootCtx := root.Context()
-	pi := inf.profIngest.Start()
-	defer func() {
-		pi.End()
-		root.End()
-		inf.recordPipeline(&stats, start, rootCtx.TraceID)
-	}()
+	run := inf.startRun("ingest-waze", nil)
+	defer run.end(&stats)
+	rootCtx := run.ctx
 
-	spStream := root.Child("stream")
-	spStream.SetTier("fog")
-	pst := inf.profStream.Start()
+	produce := startStage(run.root, "stream", "fog", inf.profStream)
 	hdrs := rootCtx.Inject(nil)
 	for _, r := range reports {
 		body, err := json.Marshal(r)
 		if err != nil {
-			pst.End()
-			spStream.End()
+			produce.End()
 			return stats, fmt.Errorf("marshal waze: %w", err)
 		}
 		cs, err := inf.produceWithRetry("waze", string(r.Kind), body, hdrs)
@@ -236,8 +214,7 @@ func (inf *Infrastructure) IngestWaze(reports []citydata.WazeReport) (PipelineSt
 			inf.deadLetter(&stats, "waze", "produce", r.ID, body, err, rootCtx.TraceID)
 		}
 	}
-	pst.End()
-	spStream.End()
+	produce.End()
 
 	var spStore *telemetry.Span
 	defer func() {
@@ -258,7 +235,7 @@ func (inf *Infrastructure) IngestWaze(reports []citydata.WazeReport) (PipelineSt
 			break
 		}
 		if spStore == nil {
-			spStore = inf.remoteTierSpan(recs, root, "store", "server")
+			spStore = inf.remoteTierSpan(recs, run.root, "store", "server")
 		}
 		stats.Streamed += len(recs)
 		for _, rec := range recs {
@@ -304,15 +281,9 @@ func crimeRowKey(inc citydata.Incident) string {
 // and the batch continues.
 func (inf *Infrastructure) IngestCrimes(incidents []citydata.Incident, archivePath string) (PipelineStats, error) {
 	stats := PipelineStats{Collected: len(incidents)}
-	start := time.Now()
-	root := inf.traceIngest("ingest-crimes")
-	rootCtx := root.Context()
-	pi := inf.profIngest.Start()
-	defer func() {
-		pi.End()
-		root.End()
-		inf.recordPipeline(&stats, start, rootCtx.TraceID)
-	}()
+	run := inf.startRun("ingest-crimes", nil)
+	defer run.end(&stats)
+	rootCtx := run.ctx
 
 	put := func(row, family, qualifier string, value []byte) error {
 		op := func() error { return inf.CrimeTab.Put(row, family, qualifier, value) }
@@ -324,24 +295,26 @@ func (inf *Infrastructure) IngestCrimes(incidents []citydata.Incident, archivePa
 		}
 		return err
 	}
-	spStore := root.Child("store")
-	spStore.SetTier("server")
-	ps := inf.profStore.Start()
+	store := startStage(run.root, "store", "server", inf.profStore)
 incidents:
 	for _, inc := range incidents {
 		row := crimeRowKey(inc)
-		puts := map[string]string{
-			"offense":  string(inc.Offense),
-			"code":     inc.OffenseCode,
-			"address":  inc.Address,
-			"district": strconv.Itoa(inc.District),
-			"time":     inc.Time.UTC().Format(time.RFC3339),
-			"agency":   inc.Agency,
-			"lat":      strconv.FormatFloat(inc.Location.Lat, 'f', 6, 64),
-			"lon":      strconv.FormatFloat(inc.Location.Lon, 'f', 6, 64),
+		// A fixed column order, not a map: each Put takes the next cell
+		// timestamp, so the order decides the row's timestamps, its store
+		// files' bytes, and which columns land before a failed write
+		// quarantines the incident.
+		puts := [...]struct{ q, v string }{
+			{"offense", string(inc.Offense)},
+			{"code", inc.OffenseCode},
+			{"address", inc.Address},
+			{"district", strconv.Itoa(inc.District)},
+			{"time", inc.Time.UTC().Format(time.RFC3339)},
+			{"agency", inc.Agency},
+			{"lat", strconv.FormatFloat(inc.Location.Lat, 'f', 6, 64)},
+			{"lon", strconv.FormatFloat(inc.Location.Lon, 'f', 6, 64)},
 		}
-		for q, v := range puts {
-			if err := put(row, "meta", q, []byte(v)); err != nil {
+		for _, p := range puts {
+			if err := put(row, "meta", p.q, []byte(p.v)); err != nil {
 				raw, _ := json.Marshal(inc)
 				inf.deadLetter(&stats, "crimes", "hbase", inc.ReportNumber, raw, err, rootCtx.TraceID)
 				continue incidents
@@ -358,14 +331,10 @@ incidents:
 			stats.Stored++
 		}
 	}
-	ps.End()
-	spStore.End()
+	store.End()
 	if archivePath != "" {
-		spArchive := root.Child("archive")
-		spArchive.SetTier("cloud")
-		defer spArchive.End()
-		pa := inf.profArchive.Start()
-		defer pa.End()
+		archive := startStage(run.root, "archive", "cloud", inf.profArchive)
+		defer archive.End()
 		raw, err := json.Marshal(incidents)
 		if err != nil {
 			return stats, fmt.Errorf("marshal archive: %w", err)
@@ -384,25 +353,16 @@ incidents:
 // rather than a side door straight into storage.
 func (inf *Infrastructure) Ingest911(calls []citydata.Call911) (PipelineStats, error) {
 	stats := PipelineStats{Collected: len(calls)}
-	start := time.Now()
-	root := inf.traceIngest("ingest-911")
-	rootCtx := root.Context()
-	pi := inf.profIngest.Start()
-	defer func() {
-		pi.End()
-		root.End()
-		inf.recordPipeline(&stats, start, rootCtx.TraceID)
-	}()
+	run := inf.startRun("ingest-911", nil)
+	defer run.end(&stats)
+	rootCtx := run.ctx
 
-	spStream := root.Child("stream")
-	spStream.SetTier("fog")
-	pst := inf.profStream.Start()
+	produce := startStage(run.root, "stream", "fog", inf.profStream)
 	hdrs := rootCtx.Inject(nil)
 	for _, c := range calls {
 		body, err := json.Marshal(c)
 		if err != nil {
-			pst.End()
-			spStream.End()
+			produce.End()
 			return stats, fmt.Errorf("marshal 911: %w", err)
 		}
 		cs, err := inf.produceWithRetry("calls911", c.Category, body, hdrs)
@@ -411,8 +371,7 @@ func (inf *Infrastructure) Ingest911(calls []citydata.Call911) (PipelineStats, e
 			inf.deadLetter(&stats, "calls911", "produce", c.ID, body, err, rootCtx.TraceID)
 		}
 	}
-	pst.End()
-	spStream.End()
+	produce.End()
 
 	var spStore *telemetry.Span
 	defer func() {
@@ -433,7 +392,7 @@ func (inf *Infrastructure) Ingest911(calls []citydata.Call911) (PipelineStats, e
 			break
 		}
 		if spStore == nil {
-			spStore = inf.remoteTierSpan(recs, root, "store", "server")
+			spStore = inf.remoteTierSpan(recs, run.root, "store", "server")
 		}
 		stats.Streamed += len(recs)
 		for _, rec := range recs {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/flume"
 	"repro/internal/hbase"
+	"repro/internal/profile"
 	"repro/internal/retry"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
@@ -226,26 +227,73 @@ func (inf *Infrastructure) wireTelemetry() {
 		func() float64 { return float64(inf.ingestSeconds.Count()) })
 }
 
-// traceIngest opens a trace for one pipeline run and returns its root span.
-// Trace ids are sequence-numbered per source so concurrent ingests never
-// collide; the most recent runs stay inspectable via /api/trace/{id}.
-func (inf *Infrastructure) traceIngest(source string) *telemetry.Span {
-	id := fmt.Sprintf("%s-%d", source, inf.ingestSeq.Add(1))
-	return inf.Tracer.Start(id, source)
+// ingestRun is the root of one ingest call: the trace's root span, the
+// "ingest" profile region, and the instant its end-to-end latency is
+// measured from.
+type ingestRun struct {
+	inf   *Infrastructure
+	root  *telemetry.Span
+	ctx   telemetry.TraceContext
+	prof  profile.Span
+	start time.Time
+	e2e   *telemetry.LabeledHistogram
 }
 
-// recordPipeline folds one run's stats into the cumulative pipeline counters
-// and observes its end-to-end latency, offering the run's trace id as a
-// histogram exemplar so a tail-latency bucket on /metrics resolves to an
-// inspectable trace.
-func (inf *Infrastructure) recordPipeline(stats *PipelineStats, start time.Time, traceID string) {
+// startRun opens a trace for one pipeline run. Trace ids are
+// sequence-numbered per source so concurrent ingests never collide; the most
+// recent runs stay inspectable via /api/trace/{id}. e2e, when non-nil, also
+// receives the run's end-to-end latency (the frame path passes the camera's
+// histogram).
+func (inf *Infrastructure) startRun(source string, e2e *telemetry.LabeledHistogram) ingestRun {
+	start := time.Now()
+	root := inf.Tracer.Start(fmt.Sprintf("%s-%d", source, inf.ingestSeq.Add(1)), source)
+	return ingestRun{
+		inf: inf, root: root, ctx: root.Context(),
+		prof: inf.profIngest.Start(), start: start, e2e: e2e,
+	}
+}
+
+// end closes the run's region and root span, folds its stats into the
+// cumulative pipeline counters, and observes its end-to-end latency once:
+// on the ingest histogram, with the run's trace id as the exemplar so a
+// tail-latency bucket on /metrics resolves to an inspectable trace, and on
+// the run's e2e histogram.
+func (r ingestRun) end(stats *PipelineStats) {
+	r.prof.End()
+	r.root.End()
+	inf := r.inf
 	inf.pipeCollected.Add(stats.Collected)
 	inf.pipeStreamed.Add(stats.Streamed)
 	inf.pipeStored.Add(stats.Stored)
 	inf.pipeDropped.Add(stats.Dropped)
 	inf.pipeDeadLettered.Add(stats.DeadLettered)
 	inf.pipeRetries.Add(stats.Retries)
-	inf.ingestSeconds.ObserveExemplar(time.Since(start).Seconds(), traceID)
+	d := time.Since(r.start).Seconds()
+	inf.ingestSeconds.ObserveExemplar(d, r.ctx.TraceID)
+	r.e2e.Observe(d)
+}
+
+// stage is one instrumented ingest step: a trace span and the profile region
+// that times the same code. The two open together and close together, so
+// the per-tier trace breakdown and the per-region profile always cover the
+// same work.
+type stage struct {
+	span *telemetry.Span
+	prof profile.Span
+}
+
+// startStage opens a child span of parent tagged with tier, plus an entry on
+// region. A nil region is inert: the stage is then a span only.
+func startStage(parent *telemetry.Span, name, tier string, region *profile.Region) stage {
+	sp := parent.Child(name)
+	sp.SetTier(tier)
+	return stage{span: sp, prof: region.Start()}
+}
+
+// End closes the region entry, then the span.
+func (s stage) End() {
+	s.prof.End()
+	s.span.End()
 }
 
 // remoteTierSpan opens the consumer-side span of a broker hop: it continues
@@ -261,7 +309,5 @@ func (inf *Infrastructure) remoteTierSpan(recs []stream.Record, fallback *teleme
 			return s
 		}
 	}
-	s := fallback.Child(name)
-	s.SetTier(tier)
-	return s
+	return startStage(fallback, name, tier, nil).span
 }

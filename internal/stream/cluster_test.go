@@ -122,23 +122,6 @@ func TestClusterEmptyKeyRoundRobin(t *testing.T) {
 	}
 }
 
-func TestBrokerEmptyKeyRoundRobin(t *testing.T) {
-	b := newTestBroker(t, 4)
-	counts := make(map[int]int)
-	for i := 0; i < 8; i++ {
-		p, _, err := b.Produce("events", "", []byte("x"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[p]++
-	}
-	for p := 0; p < 4; p++ {
-		if counts[p] != 2 {
-			t.Fatalf("empty-key spread = %v, want 2 per partition", counts)
-		}
-	}
-}
-
 func TestClusterCleanFailoverLosesNothing(t *testing.T) {
 	c := newTestCluster(t, ClusterConfig{Nodes: 3, Replication: 3}, 1)
 	produceN(t, c, 10)

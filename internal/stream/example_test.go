@@ -6,10 +6,15 @@ import (
 	"repro/internal/stream"
 )
 
-// Example demonstrates the broker's produce/consume cycle with a consumer
-// group, the pattern every collector→storage hop in the pipeline uses.
+// Example demonstrates the broker's produce/poll/commit cycle with a
+// consumer group, the pattern every collector→storage hop in the pipeline
+// uses, on a single-node cluster without replication.
 func Example() {
-	broker := stream.NewBroker()
+	broker, err := stream.NewCluster(stream.ClusterConfig{Nodes: 1, Replication: 1})
+	if err != nil {
+		fmt.Println("cluster:", err)
+		return
+	}
 	if err := broker.CreateTopic("tweets", 2); err != nil {
 		fmt.Println("create:", err)
 		return
@@ -27,6 +32,11 @@ func Example() {
 	}
 	for _, r := range records {
 		fmt.Println(string(r.Value))
+	}
+	// Lag counts committed offsets: commit once the batch is handled.
+	if err := broker.CommitPolled("storage-tier", "tweets"); err != nil {
+		fmt.Println("commit:", err)
+		return
 	}
 	lag, _ := broker.Lag("storage-tier", "tweets")
 	fmt.Println("remaining lag:", lag)

@@ -5,7 +5,10 @@ import (
 )
 
 func TestProduceHHeadersRoundTrip(t *testing.T) {
-	b := NewBroker()
+	b, err := NewCluster(single)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := b.CreateTopic("frames", 2); err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +34,10 @@ func TestProduceHHeadersRoundTrip(t *testing.T) {
 }
 
 func TestProduceWithoutHeadersStaysNil(t *testing.T) {
-	b := NewBroker()
+	b, err := NewCluster(single)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := b.CreateTopic("plain", 1); err != nil {
 		t.Fatal(err)
 	}

@@ -9,17 +9,19 @@ import (
 	"testing/quick"
 )
 
-func newTestBroker(t *testing.T, partitions int) *Broker {
+// single is the smallest cluster: one node, replication 1.
+var single = ClusterConfig{Nodes: 1, Replication: 1}
+
+func newSingleNode(t *testing.T, partitions int) *Cluster {
 	t.Helper()
-	b := NewBroker()
-	if err := b.CreateTopic("events", partitions); err != nil {
-		t.Fatal(err)
-	}
-	return b
+	return newTestCluster(t, single, partitions)
 }
 
 func TestCreateTopicErrors(t *testing.T) {
-	b := NewBroker()
+	b, err := NewCluster(single)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := b.CreateTopic("t", 0); !errors.Is(err, ErrBadPartition) {
 		t.Fatalf("zero partitions err = %v", err)
 	}
@@ -34,8 +36,8 @@ func TestCreateTopicErrors(t *testing.T) {
 	}
 }
 
-func TestProduceFetchRoundTrip(t *testing.T) {
-	b := newTestBroker(t, 1)
+func TestProducePollRoundTrip(t *testing.T) {
+	b := newSingleNode(t, 1)
 	for i := 0; i < 5; i++ {
 		p, off, err := b.Produce("events", "k", []byte(strconv.Itoa(i)))
 		if err != nil {
@@ -45,29 +47,32 @@ func TestProduceFetchRoundTrip(t *testing.T) {
 			t.Fatalf("produce %d: partition=%d offset=%d", i, p, off)
 		}
 	}
-	recs, err := b.Fetch("events", 0, 1, 2)
+	recs, err := b.Poll("g", "events", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 || string(recs[0].Value) != "1" || string(recs[1].Value) != "2" {
-		t.Fatalf("fetch = %v", recs)
+	if len(recs) != 2 || string(recs[0].Value) != "0" || string(recs[1].Value) != "1" {
+		t.Fatalf("poll = %v", recs)
 	}
-	// Fetch at end is empty, not error.
-	end, _ := b.EndOffset("events", 0)
-	empty, err := b.Fetch("events", 0, end, 10)
+	if err := b.CommitPolled("g", "events"); err != nil {
+		t.Fatal(err)
+	}
+	rest := drain(t, b, "g")
+	if len(rest) != 3 || rest[0].Offset != 2 || string(rest[2].Value) != "4" {
+		t.Fatalf("drain after commit = %v", rest)
+	}
+	// Polling at the log end is empty, not an error.
+	empty, err := b.Poll("g", "events", 10)
 	if err != nil || len(empty) != 0 {
-		t.Fatalf("fetch at end = %v, %v", empty, err)
+		t.Fatalf("poll at end = %v, %v", empty, err)
 	}
-	if _, err := b.Fetch("events", 0, end+1, 1); !errors.Is(err, ErrOffsetOutOfLog) {
-		t.Fatalf("beyond-end err = %v", err)
-	}
-	if _, err := b.Fetch("events", 5, 0, 1); !errors.Is(err, ErrBadPartition) {
-		t.Fatalf("bad partition err = %v", err)
+	if _, err := b.Poll("g", "missing", 1); !errors.Is(err, ErrUnknownTopic) {
+		t.Fatalf("unknown topic err = %v", err)
 	}
 }
 
 func TestKeyOrderingWithinPartition(t *testing.T) {
-	b := newTestBroker(t, 8)
+	b := newSingleNode(t, 8)
 	const perKey = 20
 	keys := []string{"camera-1", "camera-2", "camera-3", "camera-4"}
 	for i := 0; i < perKey; i++ {
@@ -78,23 +83,18 @@ func TestKeyOrderingWithinPartition(t *testing.T) {
 		}
 	}
 	// All records of one key land in one partition, in production order.
+	recs := drain(t, b, "g")
 	for _, k := range keys {
 		var seq []string
-		n, _ := b.Partitions("events")
-		for p := 0; p < n; p++ {
-			end, _ := b.EndOffset("events", p)
-			recs, err := b.Fetch("events", p, 0, int(end))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range recs {
-				if r.Key == k {
-					seq = append(seq, string(r.Value))
-				}
+		parts := make(map[int]bool)
+		for _, r := range recs {
+			if r.Key == k {
+				seq = append(seq, string(r.Value))
+				parts[r.Partition] = true
 			}
 		}
-		if len(seq) != perKey {
-			t.Fatalf("key %s: %d records across partitions, want %d in one", k, len(seq), perKey)
+		if len(seq) != perKey || len(parts) != 1 {
+			t.Fatalf("key %s: %d records across %d partitions, want %d in one", k, len(seq), len(parts), perKey)
 		}
 		for i, v := range seq {
 			if v != fmt.Sprintf("%s:%d", k, i) {
@@ -105,7 +105,7 @@ func TestKeyOrderingWithinPartition(t *testing.T) {
 }
 
 func TestConsumerGroupPollAndLag(t *testing.T) {
-	b := newTestBroker(t, 4)
+	b := newSingleNode(t, 4)
 	const n = 40
 	for i := 0; i < n; i++ {
 		if _, _, err := b.Produce("events", strconv.Itoa(i), nil); err != nil {
@@ -129,6 +129,9 @@ func TestConsumerGroupPollAndLag(t *testing.T) {
 			break
 		}
 		seen += len(recs)
+		if err := b.CommitPolled("g1", "events"); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if seen != n {
 		t.Fatalf("group consumed %d, want %d", seen, n)
@@ -144,44 +147,60 @@ func TestConsumerGroupPollAndLag(t *testing.T) {
 	}
 }
 
-func TestCommitAndCommitted(t *testing.T) {
-	b := newTestBroker(t, 2)
-	if err := b.Commit("g", "events", 1, 5); err != nil {
+func TestCommitPolledAndCommitted(t *testing.T) {
+	b := newSingleNode(t, 2)
+	// "k1" routes to one partition; five records there, none elsewhere.
+	p, err := b.PartitionFor("events", "k1")
+	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := b.Committed("g", "events", 1)
+	for i := 0; i < 5; i++ {
+		if _, _, err := b.Produce("events", "k1", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := b.Poll("g", "events", 10); err != nil {
+		t.Fatal(err)
+	}
+	if off, _ := b.Committed("g", "events", p); off != 0 {
+		t.Fatalf("committed before CommitPolled = %d", off)
+	}
+	if err := b.CommitPolled("g", "events"); err != nil {
+		t.Fatal(err)
+	}
+	off, err := b.Committed("g", "events", p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if off != 5 {
 		t.Fatalf("committed = %d", off)
 	}
-	if off, _ := b.Committed("g", "events", 0); off != 0 {
-		t.Fatalf("uncommitted partition = %d", off)
+	if off, _ := b.Committed("g", "events", 1-p); off != 0 {
+		t.Fatalf("empty partition committed = %d", off)
 	}
-	if err := b.Commit("g", "missing", 0, 1); !errors.Is(err, ErrUnknownTopic) {
+	if err := b.CommitPolled("g", "missing"); !errors.Is(err, ErrUnknownTopic) {
 		t.Fatalf("err = %v", err)
 	}
-	if err := b.Commit("g", "events", 9, 1); !errors.Is(err, ErrBadPartition) {
+	if _, err := b.Committed("g", "events", 9); !errors.Is(err, ErrBadPartition) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestProduceIsolatesValueBuffer(t *testing.T) {
-	b := newTestBroker(t, 1)
+	b := newSingleNode(t, 1)
 	buf := []byte("original")
 	if _, _, err := b.Produce("events", "k", buf); err != nil {
 		t.Fatal(err)
 	}
 	copy(buf, "mutated!")
-	recs, _ := b.Fetch("events", 0, 0, 1)
+	recs, _ := b.Poll("g", "events", 1)
 	if string(recs[0].Value) != "original" {
 		t.Fatal("broker must copy the value at the boundary")
 	}
 }
 
 func TestConcurrentProducersConsistent(t *testing.T) {
-	b := newTestBroker(t, 4)
+	b := newSingleNode(t, 4)
 	const producers, each = 8, 50
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
@@ -197,11 +216,9 @@ func TestConcurrentProducersConsistent(t *testing.T) {
 		}(p)
 	}
 	wg.Wait()
-	total := int64(0)
-	n, _ := b.Partitions("events")
-	for p := 0; p < n; p++ {
-		end, _ := b.EndOffset("events", p)
-		total += end
+	total, err := b.Lag("fresh", "events")
+	if err != nil {
+		t.Fatal(err)
 	}
 	if total != producers*each {
 		t.Fatalf("total records = %d, want %d", total, producers*each)
@@ -214,7 +231,10 @@ func TestOffsetsDenseProperty(t *testing.T) {
 		if len(keys) > 200 {
 			keys = keys[:200]
 		}
-		b := NewBroker()
+		b, err := NewCluster(single)
+		if err != nil {
+			return false
+		}
 		if err := b.CreateTopic("t", 3); err != nil {
 			return false
 		}
@@ -223,20 +243,16 @@ func TestOffsetsDenseProperty(t *testing.T) {
 				return false
 			}
 		}
-		for p := 0; p < 3; p++ {
-			end, err := b.EndOffset("t", p)
-			if err != nil {
+		recs, err := b.Poll("g", "t", len(keys))
+		if err != nil || len(recs) != len(keys) {
+			return false
+		}
+		next := make(map[int]int64)
+		for _, r := range recs {
+			if r.Offset != next[r.Partition] {
 				return false
 			}
-			recs, err := b.Fetch("t", p, 0, int(end))
-			if err != nil {
-				return false
-			}
-			for i, r := range recs {
-				if r.Offset != int64(i) || r.Partition != p {
-					return false
-				}
-			}
+			next[r.Partition]++
 		}
 		return true
 	}
@@ -251,7 +267,7 @@ func TestOffsetsDenseProperty(t *testing.T) {
 // re-polled, and the group's committed offsets reach the log end.
 func TestConsumerGroupRebalance(t *testing.T) {
 	const partitions, records = 4, 200
-	b := newTestBroker(t, partitions)
+	b := newSingleNode(t, partitions)
 	for i := 0; i < records; i++ {
 		if _, _, err := b.Produce("events", fmt.Sprintf("key-%d", i), []byte(strconv.Itoa(i))); err != nil {
 			t.Fatal(err)
@@ -270,6 +286,9 @@ func TestConsumerGroupRebalance(t *testing.T) {
 				t.Fatalf("record %s delivered to both %s and %s", key, prev, member)
 			}
 			seen[key] = member
+		}
+		if err := b.CommitPolled("g", "events"); err != nil {
+			t.Fatal(err)
 		}
 		return len(recs)
 	}
@@ -292,18 +311,16 @@ func TestConsumerGroupRebalance(t *testing.T) {
 	if len(seen) != records {
 		t.Fatalf("group consumed %d distinct records, want %d", len(seen), records)
 	}
+	var committed int64
 	for p := 0; p < partitions; p++ {
-		end, err := b.EndOffset("events", p)
+		off, err := b.Committed("g", "events", p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		committed, err := b.Committed("g", "events", p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if committed != end {
-			t.Fatalf("partition %d committed = %d, end = %d", p, committed, end)
-		}
+		committed += off
+	}
+	if lag, _ := b.Lag("g", "events"); committed != records || lag != 0 {
+		t.Fatalf("committed %d of %d records, lag %d", committed, records, lag)
 	}
 	// A third poll after the rebalance-drain re-delivers nothing.
 	if recs, err := b.Poll("g", "events", records); err != nil || len(recs) != 0 {

@@ -295,6 +295,8 @@ func (v *CounterVec) SeriesCount() int { return v.f.seriesCount() }
 // LabeledCounter is a cached per-label counter handle. Add/Inc are two
 // atomic adds and one atomic load — no locks, no allocation — and stay
 // valid across demotion: a tail handle records into the rollup series.
+// A nil *LabeledCounter is a valid, inert handle: Add and Inc record
+// nothing.
 type LabeledCounter struct{ c *vecChild }
 
 // Inc adds one.
@@ -302,7 +304,7 @@ func (h *LabeledCounter) Inc() { h.Add(1) }
 
 // Add adds n (non-positive deltas are ignored, like Counter.Add).
 func (h *LabeledCounter) Add(n int) {
-	if n <= 0 {
+	if h == nil || n <= 0 {
 		return
 	}
 	h.c.obs.Add(uint64(n))
@@ -336,12 +338,16 @@ func (v *GaugeVec) Children() []VecChildInfo { return v.f.childrenInfo() }
 // SeriesCount returns materialized children + 1 (the rollup).
 func (v *GaugeVec) SeriesCount() int { return v.f.seriesCount() }
 
-// LabeledGauge is a cached per-label gauge handle.
+// LabeledGauge is a cached per-label gauge handle. A nil *LabeledGauge is
+// a valid, inert handle: Set records nothing.
 type LabeledGauge struct{ c *vecChild }
 
 // Set writes the gauge. Each write also counts toward the label's
 // heavy-hitter rank.
 func (h *LabeledGauge) Set(v float64) {
+	if h == nil {
+		return
+	}
 	h.c.obs.Add(1)
 	h.c.sum.Store(math.Float64bits(v))
 	h.c.tgtG.Load().Set(v)
@@ -373,13 +379,17 @@ func (v *HistogramVec) Children() []VecChildInfo { return v.f.childrenInfo() }
 // SeriesCount returns materialized children + 1 (the rollup).
 func (v *HistogramVec) SeriesCount() int { return v.f.seriesCount() }
 
-// LabeledHistogram is a cached per-label histogram handle.
+// LabeledHistogram is a cached per-label histogram handle. A nil
+// *LabeledHistogram is a valid, inert handle: Observe records nothing.
 type LabeledHistogram struct{ c *vecChild }
 
 // Observe records one value: exact per-label count and sum on the handle,
 // plus the bucket observation on whichever series (own or rollup) the label
 // currently owns.
 func (h *LabeledHistogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
 	h.c.obs.Add(1)
 	addFloatBits(&h.c.sum, v)
 	h.c.tgtH.Load().Observe(v)
