@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"repro/internal/control"
+	"repro/internal/stream"
 	"repro/internal/telemetry"
 )
 
@@ -147,12 +148,12 @@ func (inf *Infrastructure) ingestFrame(f FrameEvent, archiveDir string) (stats P
 	pinf := inf.profInference.Start()
 	defer pinf.End()
 	for {
-		recs, cs, perr := inf.pollWithRetry(inferenceGroup, "frames", 4)
+		var recs []stream.Record
+		cs, perr := inf.redriven(func() (err error) {
+			recs, err = inf.Bus.Poll(inferenceGroup, "frames", 4)
+			return err
+		})
 		stats.Retries += cs.Retries
-		for round := 1; perr != nil && round <= inf.RedriveRounds; round++ {
-			recs, cs, perr = inf.pollWithRetry(inferenceGroup, "frames", 4)
-			stats.Retries += cs.Retries
-		}
 		if perr != nil {
 			// Exhausted redrives mean the broker is partitioned, not that
 			// records were lost: nothing was committed, so the at-least-once
@@ -218,13 +219,8 @@ func (inf *Infrastructure) archiveFrame(parent *telemetry.Span, f FrameEvent, va
 	cam := inf.fleetCam(f.CameraID)
 	row := fmt.Sprintf("%s|%06d", f.CameraID, f.Seq)
 	putCell := func(family, qual string, val []byte) error {
-		op := func() error { return inf.VideoTab.Put(row, family, qual, val) }
-		cs, err := inf.Retry.DoStats(op)
+		cs, err := inf.redriven(func() error { return inf.VideoTab.Put(row, family, qual, val) })
 		stats.Retries += cs.Retries
-		for round := 1; err != nil && round <= inf.RedriveRounds; round++ {
-			cs, err = inf.Retry.DoStats(op)
-			stats.Retries += cs.Retries
-		}
 		return err
 	}
 	if err := putCell("det", "class", []byte(f.Class)); err != nil {

@@ -53,7 +53,6 @@ func (inf *Infrastructure) IngestTweets(tweets []citydata.Tweet) (PipelineStats,
 	stats := PipelineStats{Collected: len(tweets)}
 	run := inf.startRun("ingest-tweets", nil)
 	defer run.end(&stats)
-	rootCtx := run.ctx
 
 	collect := startStage(run.root, "collect", "edge", inf.profCollect)
 	events := make([]flume.Event, len(tweets))
@@ -67,7 +66,7 @@ func (inf *Infrastructure) IngestTweets(tweets []citydata.Tweet) (PipelineStats,
 		// sink forwards onto the broker record — so the storage tier on the
 		// far side of the hop can continue this trace.
 		events[i] = flume.Event{
-			Headers: rootCtx.Inject(map[string]string{"author": tw.Author, "id": tw.ID}),
+			Headers: run.ctx.Inject(map[string]string{"author": tw.Author, "id": tw.ID}),
 			Body:    body,
 		}
 	}
@@ -96,9 +95,33 @@ func (inf *Infrastructure) IngestTweets(tweets []citydata.Tweet) (PipelineStats,
 	stats.Retries += inf.redrive(dlq, sink, &stats, "tweets")
 	produce.End()
 
-	// Storage tier: drain broker into docstore. The store span continues the
-	// trace context propagated on the first polled record, joining the
-	// producer's causal tree across the broker hop.
+	err := inf.drainToDocs(run, "tweets", &stats, func(v []byte, doc docstore.Document) (string, error) {
+		var tw citydata.Tweet
+		if err := json.Unmarshal(v, &tw); err != nil {
+			return "", err
+		}
+		doc["id"] = tw.ID
+		doc["author"] = tw.Author
+		doc["text"] = tw.Text
+		doc["unixTime"] = float64(tw.Time.Unix())
+		doc["loc"] = tw.Location
+		return tw.ID, nil
+	})
+	return stats, err
+}
+
+// drainToDocs is the storage tier of the Fig. 4 record paths: it drains
+// topic for the storage group into the docstore collection of the same
+// name, and commits each batch only once every record in it is stored or
+// quarantined, so a consumer crash redelivers the batch instead of losing
+// it. fill decodes one record value into doc and returns the record's id;
+// records it cannot decode are dead-lettered at stage "decode" under the
+// record key, and documents that cannot be stored at stage "store" under
+// the id. doc is one map per drain, cleared before each record: Insert
+// stores a copy, and a fresh map per record would cost heap allocations.
+// The store span continues the trace context propagated on the first
+// polled record, joining the producer's causal tree across the broker hop.
+func (inf *Infrastructure) drainToDocs(run ingestRun, topic string, stats *PipelineStats, fill func(value []byte, doc docstore.Document) (string, error)) error {
 	var spStore *telemetry.Span
 	defer func() {
 		if spStore != nil {
@@ -107,49 +130,65 @@ func (inf *Infrastructure) IngestTweets(tweets []citydata.Tweet) (PipelineStats,
 	}()
 	ps := inf.profStore.Start()
 	defer ps.End()
-	col := inf.DocDB.Collection("tweets")
+	col := inf.DocDB.Collection(topic)
+	doc := make(docstore.Document, 8)
 	for {
-		recs, cs, err := inf.pollWithRetry(storageGroup, "tweets", 256)
+		recs, cs, err := inf.pollWithRetry(storageGroup, topic, 256)
 		stats.Retries += cs.Retries
 		if err != nil {
-			return stats, fmt.Errorf("poll tweets: %w", err)
+			return fmt.Errorf("poll %s: %w", topic, err)
 		}
 		if len(recs) == 0 {
-			break
+			return nil
 		}
 		if spStore == nil {
 			spStore = inf.remoteTierSpan(recs, run.root, "store", "server")
 		}
 		stats.Streamed += len(recs)
 		for _, r := range recs {
-			var tw citydata.Tweet
-			if err := json.Unmarshal(r.Value, &tw); err != nil {
-				inf.deadLetter(&stats, "tweets", "decode", r.Key, r.Value, err, recordTraceID(r, rootCtx.TraceID))
+			clear(doc)
+			id, err := fill(r.Value, doc)
+			if err != nil {
+				inf.deadLetter(stats, topic, "decode", r.Key, r.Value, err, recordTraceID(r, run.ctx.TraceID))
 				continue
 			}
-			doc := docstore.Document{
-				"id":       tw.ID,
-				"author":   tw.Author,
-				"text":     tw.Text,
-				"unixTime": float64(tw.Time.Unix()),
-				"loc":      tw.Location,
-			}
-			cs, err := inf.storeWithRedrive(col, doc)
+			cs, err := inf.redriven(func() error { return inf.insert(col, doc) })
 			stats.Retries += cs.Retries
 			if err != nil {
-				inf.deadLetter(&stats, "tweets", "store", tw.ID, r.Value, err, recordTraceID(r, rootCtx.TraceID))
+				inf.deadLetter(stats, topic, "store", id, r.Value, err, recordTraceID(r, run.ctx.TraceID))
 				continue
 			}
 			stats.Stored++
 		}
-		// The batch is fully handled (stored or quarantined), so advance the
-		// group's committed offsets; a consumer crash before this line would
-		// redeliver the batch instead of losing it.
-		if err := inf.Bus.CommitPolled(storageGroup, "tweets"); err != nil {
-			return stats, fmt.Errorf("commit tweets: %w", err)
+		if err := inf.Bus.CommitPolled(storageGroup, topic); err != nil {
+			return fmt.Errorf("commit %s: %w", topic, err)
 		}
 	}
-	return stats, nil
+}
+
+// produceEach is the stream stage of the record paths that produce
+// straight to the broker: it marshals each item and produces it on topic
+// under the shared policy, keyed by keys(item), with the run's trace
+// context on the headers. A record that exhausts its retries is
+// dead-lettered under its id and the stage moves on; a marshal failure
+// ends the stage.
+func produceEach[T any](inf *Infrastructure, run ingestRun, topic string, items []T, stats *PipelineStats, keys func(T) (key, id string)) error {
+	produce := startStage(run.root, "stream", "fog", inf.profStream)
+	defer produce.End()
+	hdrs := run.ctx.Inject(nil)
+	for _, it := range items {
+		body, err := json.Marshal(it)
+		if err != nil {
+			return fmt.Errorf("marshal %s: %w", topic, err)
+		}
+		key, id := keys(it)
+		cs, err := inf.produceWithRetry(topic, key, body, hdrs)
+		stats.Retries += cs.Retries
+		if err != nil {
+			inf.deadLetter(stats, topic, "produce", id, body, err, run.ctx.TraceID)
+		}
+	}
+	return nil
 }
 
 // redrive replays dead-lettered flume events through the idempotent sink.
@@ -198,74 +237,28 @@ func (inf *Infrastructure) IngestWaze(reports []citydata.WazeReport) (PipelineSt
 	stats := PipelineStats{Collected: len(reports)}
 	run := inf.startRun("ingest-waze", nil)
 	defer run.end(&stats)
-	rootCtx := run.ctx
 
-	produce := startStage(run.root, "stream", "fog", inf.profStream)
-	hdrs := rootCtx.Inject(nil)
-	for _, r := range reports {
-		body, err := json.Marshal(r)
-		if err != nil {
-			produce.End()
-			return stats, fmt.Errorf("marshal waze: %w", err)
-		}
-		cs, err := inf.produceWithRetry("waze", string(r.Kind), body, hdrs)
-		stats.Retries += cs.Retries
-		if err != nil {
-			inf.deadLetter(&stats, "waze", "produce", r.ID, body, err, rootCtx.TraceID)
-		}
+	err := produceEach(inf, run, "waze", reports, &stats, func(r citydata.WazeReport) (string, string) {
+		return string(r.Kind), r.ID
+	})
+	if err != nil {
+		return stats, err
 	}
-	produce.End()
-
-	var spStore *telemetry.Span
-	defer func() {
-		if spStore != nil {
-			spStore.End()
+	err = inf.drainToDocs(run, "waze", &stats, func(v []byte, doc docstore.Document) (string, error) {
+		var r citydata.WazeReport
+		if err := json.Unmarshal(v, &r); err != nil {
+			return "", err
 		}
-	}()
-	ps := inf.profStore.Start()
-	defer ps.End()
-	col := inf.DocDB.Collection("waze")
-	for {
-		recs, cs, err := inf.pollWithRetry(storageGroup, "waze", 256)
-		stats.Retries += cs.Retries
-		if err != nil {
-			return stats, fmt.Errorf("poll waze: %w", err)
-		}
-		if len(recs) == 0 {
-			break
-		}
-		if spStore == nil {
-			spStore = inf.remoteTierSpan(recs, run.root, "store", "server")
-		}
-		stats.Streamed += len(recs)
-		for _, rec := range recs {
-			var r citydata.WazeReport
-			if err := json.Unmarshal(rec.Value, &r); err != nil {
-				inf.deadLetter(&stats, "waze", "decode", rec.Key, rec.Value, err, recordTraceID(rec, rootCtx.TraceID))
-				continue
-			}
-			doc := docstore.Document{
-				"id":       r.ID,
-				"kind":     string(r.Kind),
-				"severity": r.Severity,
-				"speedKmh": r.SpeedKmh,
-				"unixTime": float64(r.Time.Unix()),
-				"loc":      r.Location,
-				"user":     r.UserReport,
-			}
-			cs, err := inf.storeWithRedrive(col, doc)
-			stats.Retries += cs.Retries
-			if err != nil {
-				inf.deadLetter(&stats, "waze", "store", r.ID, rec.Value, err, recordTraceID(rec, rootCtx.TraceID))
-				continue
-			}
-			stats.Stored++
-		}
-		if err := inf.Bus.CommitPolled(storageGroup, "waze"); err != nil {
-			return stats, fmt.Errorf("commit waze: %w", err)
-		}
-	}
-	return stats, nil
+		doc["id"] = r.ID
+		doc["kind"] = string(r.Kind)
+		doc["severity"] = r.Severity
+		doc["speedKmh"] = r.SpeedKmh
+		doc["unixTime"] = float64(r.Time.Unix())
+		doc["loc"] = r.Location
+		doc["user"] = r.UserReport
+		return r.ID, nil
+	})
+	return stats, err
 }
 
 // crimeRowKey builds HBase row keys that cluster by district then time, so
@@ -286,13 +279,8 @@ func (inf *Infrastructure) IngestCrimes(incidents []citydata.Incident, archivePa
 	rootCtx := run.ctx
 
 	put := func(row, family, qualifier string, value []byte) error {
-		op := func() error { return inf.CrimeTab.Put(row, family, qualifier, value) }
-		cs, err := inf.Retry.DoStats(op)
+		cs, err := inf.redriven(func() error { return inf.CrimeTab.Put(row, family, qualifier, value) })
 		stats.Retries += cs.Retries
-		for round := 1; err != nil && round <= inf.RedriveRounds; round++ {
-			cs, err = inf.Retry.DoStats(op)
-			stats.Retries += cs.Retries
-		}
 		return err
 	}
 	store := startStage(run.root, "store", "server", inf.profStore)
@@ -355,72 +343,26 @@ func (inf *Infrastructure) Ingest911(calls []citydata.Call911) (PipelineStats, e
 	stats := PipelineStats{Collected: len(calls)}
 	run := inf.startRun("ingest-911", nil)
 	defer run.end(&stats)
-	rootCtx := run.ctx
 
-	produce := startStage(run.root, "stream", "fog", inf.profStream)
-	hdrs := rootCtx.Inject(nil)
-	for _, c := range calls {
-		body, err := json.Marshal(c)
-		if err != nil {
-			produce.End()
-			return stats, fmt.Errorf("marshal 911: %w", err)
-		}
-		cs, err := inf.produceWithRetry("calls911", c.Category, body, hdrs)
-		stats.Retries += cs.Retries
-		if err != nil {
-			inf.deadLetter(&stats, "calls911", "produce", c.ID, body, err, rootCtx.TraceID)
-		}
+	err := produceEach(inf, run, "calls911", calls, &stats, func(c citydata.Call911) (string, string) {
+		return c.Category, c.ID
+	})
+	if err != nil {
+		return stats, err
 	}
-	produce.End()
-
-	var spStore *telemetry.Span
-	defer func() {
-		if spStore != nil {
-			spStore.End()
+	err = inf.drainToDocs(run, "calls911", &stats, func(v []byte, doc docstore.Document) (string, error) {
+		var c citydata.Call911
+		if err := json.Unmarshal(v, &c); err != nil {
+			return "", err
 		}
-	}()
-	ps := inf.profStore.Start()
-	defer ps.End()
-	col := inf.DocDB.Collection("calls911")
-	for {
-		recs, cs, err := inf.pollWithRetry(storageGroup, "calls911", 256)
-		stats.Retries += cs.Retries
-		if err != nil {
-			return stats, fmt.Errorf("poll 911: %w", err)
-		}
-		if len(recs) == 0 {
-			break
-		}
-		if spStore == nil {
-			spStore = inf.remoteTierSpan(recs, run.root, "store", "server")
-		}
-		stats.Streamed += len(recs)
-		for _, rec := range recs {
-			var c citydata.Call911
-			if err := json.Unmarshal(rec.Value, &c); err != nil {
-				inf.deadLetter(&stats, "calls911", "decode", rec.Key, rec.Value, err, recordTraceID(rec, rootCtx.TraceID))
-				continue
-			}
-			doc := docstore.Document{
-				"id":       c.ID,
-				"category": c.Category,
-				"priority": c.Priority,
-				"unixTime": float64(c.Time.Unix()),
-				"loc":      c.Location,
-			}
-			cs, err := inf.storeWithRedrive(col, doc)
-			stats.Retries += cs.Retries
-			if err != nil {
-				inf.deadLetter(&stats, "calls911", "store", c.ID, rec.Value, err, recordTraceID(rec, rootCtx.TraceID))
-				continue
-			}
-			stats.Stored++
-		}
-		if err := inf.Bus.CommitPolled(storageGroup, "calls911"); err != nil {
-			return stats, fmt.Errorf("commit 911: %w", err)
-		}
-	}
-	return stats, nil
+		doc["id"] = c.ID
+		doc["category"] = c.Category
+		doc["priority"] = c.Priority
+		doc["unixTime"] = float64(c.Time.Unix())
+		doc["loc"] = c.Location
+		return c.ID, nil
+	})
+	return stats, err
 }
 
 // TweetsNear returns stored tweets within radiusKm of center posted in

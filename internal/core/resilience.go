@@ -63,37 +63,34 @@ func (inf *Infrastructure) pollWithRetry(group, topic string, max int) ([]stream
 	return recs, cs, err
 }
 
-// insertWithRetry writes one document under the shared policy, honoring the
-// chaos injector's store hook.
-func (inf *Infrastructure) insertWithRetry(col *docstore.Collection, doc docstore.Document) (retry.CallStats, error) {
-	return inf.Retry.DoStats(func() error {
-		if inf.storeFault != nil {
-			if err := inf.storeFault(); err != nil {
-				return err
-			}
-		}
-		_, err := col.Insert(doc)
-		return err
-	})
-}
-
-// storeWithRedrive gives a document insert the same second-chance structure
-// as dead-lettered produce batches: up to RedriveRounds additional policy
-// runs, so a fault burst or an open breaker window has to outlast every
-// round to defeat a write. Total attempts stay bounded by
-// MaxAttempts × (RedriveRounds + 1). The returned CallStats accumulates
+// redriven runs op under the shared policy and, while it keeps failing, up
+// to RedriveRounds more policy runs: the same second chance dead-lettered
+// produce batches get, so a fault burst or an open breaker window has to
+// outlast every round to defeat the operation. Total attempts stay bounded
+// by MaxAttempts × (RedriveRounds + 1). The returned CallStats accumulates
 // across rounds.
-func (inf *Infrastructure) storeWithRedrive(col *docstore.Collection, doc docstore.Document) (retry.CallStats, error) {
-	total, err := inf.insertWithRetry(col, doc)
+func (inf *Infrastructure) redriven(op func() error) (retry.CallStats, error) {
+	total, err := inf.Retry.DoStats(op)
 	for round := 1; err != nil && round <= inf.RedriveRounds; round++ {
 		var cs retry.CallStats
-		cs, err = inf.insertWithRetry(col, doc)
+		cs, err = inf.Retry.DoStats(op)
 		total.Attempts += cs.Attempts
 		total.Retries += cs.Retries
 		total.ShortCircuits += cs.ShortCircuits
 		total.Slept += cs.Slept
 	}
 	return total, err
+}
+
+// insert writes one document, honoring the chaos injector's store hook.
+func (inf *Infrastructure) insert(col *docstore.Collection, doc docstore.Document) error {
+	if inf.storeFault != nil {
+		if err := inf.storeFault(); err != nil {
+			return err
+		}
+	}
+	_, err := col.Insert(doc)
+	return err
 }
 
 // quarantine parks an undeliverable record in the dead-letter collection so

@@ -49,36 +49,61 @@ func TestIngest911ThroughBroker(t *testing.T) {
 // TestPoisonedRecordsQuarantined: garbage on the topic must not abort the
 // drain — the broker's at-most-once poll would strand every record polled
 // alongside it. Instead it lands in the dead-letter collection and the
-// well-formed records all arrive.
+// well-formed records all arrive, on every record path's topic.
 func TestPoisonedRecordsQuarantined(t *testing.T) {
-	inf := bootSmall(t)
-	for i := 0; i < 3; i++ {
-		if _, _, err := inf.Broker.Produce("tweets", "poison", []byte("{not json")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tweets := genTweets(t, inf, 200, 2)
-	stats, err := inf.IngestTweets(tweets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Stored != 200 || stats.DeadLettered != 3 || stats.Dropped != 0 {
-		t.Fatalf("stats = %+v", stats)
-	}
-	if stats.Streamed != 203 {
-		t.Fatalf("streamed = %d", stats.Streamed)
-	}
-	letters, err := inf.DeadLetters("tweets")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(letters) != 3 {
-		t.Fatalf("dead letters = %d", len(letters))
-	}
-	for _, l := range letters {
-		if l["stage"] != "decode" || l["body"] != "{not json" {
-			t.Fatalf("letter = %+v", l)
-		}
+	for _, tc := range []struct {
+		topic  string
+		n      int
+		ingest func(t *testing.T, inf *Infrastructure, n int) (PipelineStats, error)
+	}{
+		{"tweets", 200, func(t *testing.T, inf *Infrastructure, n int) (PipelineStats, error) {
+			return inf.IngestTweets(genTweets(t, inf, n, 2))
+		}},
+		{"waze", 50, func(t *testing.T, inf *Infrastructure, n int) (PipelineStats, error) {
+			reports, err := citydata.GenerateWaze(n, inf.Cameras, inf.Config().Epoch, rand.New(rand.NewSource(3)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return inf.IngestWaze(reports)
+		}},
+		{"calls911", 30, func(t *testing.T, inf *Infrastructure, n int) (PipelineStats, error) {
+			calls, err := citydata.Generate911(n, inf.Config().Epoch, rand.New(rand.NewSource(4)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return inf.Ingest911(calls)
+		}},
+	} {
+		t.Run(tc.topic, func(t *testing.T) {
+			inf := bootSmall(t)
+			for i := 0; i < 3; i++ {
+				if _, _, err := inf.Broker.Produce(tc.topic, "poison", []byte("{not json")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			stats, err := tc.ingest(t, inf, tc.n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Stored != tc.n || stats.DeadLettered != 3 || stats.Dropped != 0 {
+				t.Fatalf("stats = %+v", stats)
+			}
+			if stats.Streamed != tc.n+3 {
+				t.Fatalf("streamed = %d, want %d", stats.Streamed, tc.n+3)
+			}
+			letters, err := inf.DeadLetters(tc.topic)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(letters) != 3 {
+				t.Fatalf("dead letters = %d", len(letters))
+			}
+			for _, l := range letters {
+				if l["stage"] != "decode" || l["key"] != "poison" || l["body"] != "{not json" {
+					t.Fatalf("letter = %+v", l)
+				}
+			}
+		})
 	}
 }
 

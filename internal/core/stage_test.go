@@ -87,44 +87,89 @@ func TestFrameStagesPairSpansAndRegions(t *testing.T) {
 }
 
 // The record paths pair spans and regions the same way, including the
-// early return on a collect-stage error: the collect span, its region and
+// early return on a marshal error: the failing stage's span, its region and
 // the run's root all close, and no later stage opens.
-func TestTweetStagesPairSpansAndRegions(t *testing.T) {
-	inf := bootSmall(t)
-	steppedTracer(inf)
-	regions := []string{"ingest", "ingest/collect", "ingest/stream", "ingest/store"}
-	epoch := inf.Config().Epoch
-	tweets := []citydata.Tweet{
-		{ID: "t1", Author: "a", Text: "traffic on i-10", Time: epoch, Location: geo.Point{Lat: 30.45, Lon: -91.18}},
-		{ID: "t2", Author: "b", Text: "gunshots on plank rd", Time: epoch, Location: geo.Point{Lat: 30.47, Lon: -91.15}},
-	}
+func TestRecordStagesPairSpansAndRegions(t *testing.T) {
+	at := geo.Point{Lat: 30.45, Lon: -91.18}
+	for _, tc := range []struct {
+		root    string
+		stages  []string // span names; each stage's region is ingest/<name>
+		failing string   // the stage a NaN location fails in
+		errText string
+		ingest  func(inf *Infrastructure, loc geo.Point) (PipelineStats, error)
+	}{
+		{"ingest-tweets", []string{"collect", "stream", "store"}, "collect", "marshal tweet",
+			func(inf *Infrastructure, loc geo.Point) (PipelineStats, error) {
+				epoch := inf.Config().Epoch
+				return inf.IngestTweets([]citydata.Tweet{
+					{ID: "t1", Author: "a", Text: "traffic on i-10", Time: epoch, Location: at},
+					{ID: "t2", Author: "b", Text: "gunshots on plank rd", Time: epoch, Location: loc},
+				})
+			}},
+		{"ingest-waze", []string{"stream", "store"}, "stream", "marshal waze",
+			func(inf *Infrastructure, loc geo.Point) (PipelineStats, error) {
+				epoch := inf.Config().Epoch
+				return inf.IngestWaze([]citydata.WazeReport{
+					{ID: "w1", Kind: citydata.WazeJam, Severity: 3, Location: at, Time: epoch},
+					{ID: "w2", Kind: citydata.WazeAccident, Severity: 5, Location: loc, Time: epoch},
+				})
+			}},
+		{"ingest-911", []string{"stream", "store"}, "stream", "marshal calls911",
+			func(inf *Infrastructure, loc geo.Point) (PipelineStats, error) {
+				epoch := inf.Config().Epoch
+				return inf.Ingest911([]citydata.Call911{
+					{ID: "c1", Category: "traffic", Location: at, Time: epoch, Priority: 2},
+					{ID: "c2", Category: "assault", Location: loc, Time: epoch, Priority: 1},
+				})
+			}},
+	} {
+		t.Run(tc.root, func(t *testing.T) {
+			inf := bootSmall(t)
+			steppedTracer(inf)
+			regions := []string{"ingest"}
+			for _, st := range tc.stages {
+				regions = append(regions, "ingest/"+st)
+			}
 
-	before := regionCalls(inf, regions)
-	stats, err := inf.IngestTweets(tweets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Stored != len(tweets) {
-		t.Fatalf("stats = %+v", stats)
-	}
-	ids := inf.Tracer.IDs()
-	checkStages(t, inf, before,
-		map[string]uint64{"ingest": 1, "ingest/collect": 1, "ingest/stream": 1, "ingest/store": 1},
-		ids[len(ids)-1], []string{"collect", "stream", "store"})
+			before := regionCalls(inf, regions)
+			stats, err := tc.ingest(inf, at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Stored != 2 {
+				t.Fatalf("stored %d records, want 2: %+v", stats.Stored, stats)
+			}
+			want := make(map[string]uint64)
+			for _, r := range regions {
+				want[r] = 1
+			}
+			ids := inf.Tracer.IDs()
+			checkStages(t, inf, before, want, ids[len(ids)-1], tc.stages)
 
-	// NaN has no JSON encoding, so the collect stage fails on the second
-	// tweet and the run returns early.
-	tweets[1].Location.Lat = math.NaN()
-	before = regionCalls(inf, regions)
-	collectWall := inf.Profiler.Region("ingest/collect").WallSeconds()
-	if _, err := inf.IngestTweets(tweets); err == nil || !strings.Contains(err.Error(), "marshal tweet") {
-		t.Fatalf("err = %v, want a marshal error", err)
+			// NaN has no JSON encoding, so the failing stage errors on the
+			// second record and the run returns early.
+			before = regionCalls(inf, regions)
+			failing := "ingest/" + tc.failing
+			wall := inf.Profiler.Region(failing).WallSeconds()
+			if _, err := tc.ingest(inf, geo.Point{Lat: math.NaN(), Lon: at.Lon}); err == nil || !strings.Contains(err.Error(), tc.errText) {
+				t.Fatalf("err = %v, want a %q error", err, tc.errText)
+			}
+			if inf.Profiler.Region(failing).WallSeconds() <= wall {
+				t.Errorf("%s region entry never closed on the error return", failing)
+			}
+			want, opened := map[string]uint64{"ingest": 1}, []string{tc.root}
+			reached := true
+			for _, st := range tc.stages {
+				if reached {
+					want["ingest/"+st] = 1
+					opened = append(opened, st)
+				} else {
+					want["ingest/"+st] = 0
+				}
+				reached = reached && st != tc.failing
+			}
+			ids = inf.Tracer.IDs()
+			checkStages(t, inf, before, want, ids[len(ids)-1], opened)
+		})
 	}
-	if inf.Profiler.Region("ingest/collect").WallSeconds() <= collectWall {
-		t.Error("collect region entry never closed on the error return")
-	}
-	ids = inf.Tracer.IDs()
-	checkStages(t, inf, before,
-		map[string]uint64{"ingest": 1, "ingest/collect": 1, "ingest/stream": 0, "ingest/store": 0},
-		ids[len(ids)-1], []string{"ingest-tweets", "collect"})
 }

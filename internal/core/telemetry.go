@@ -135,7 +135,9 @@ func (inf *Infrastructure) wireTelemetry() {
 	// HBase: per-table WAL/memstore/flush metrics.
 	for _, tab := range []*hbase.Table{inf.CrimeTab, inf.VideoTab} {
 		tab := tab
-		label := func(name string) string { return telemetry.WithLabel(name, "table", tab.Name()) }
+		label := func(name string) string {
+			return telemetry.FormatName(name, telemetry.LabelSet{{Key: "table", Value: tab.Name()}})
+		}
 		r.CounterFunc(label("cityinfra_hbase_wal_appends_total"), "WAL appends",
 			func() float64 { return float64(tab.Stats().WALAppends) })
 		r.CounterFunc(label("cityinfra_hbase_flushes_total"), "memstore flushes",

@@ -10,10 +10,12 @@
 // breakers, HDFS clusters, HBase tables) are exposed at scrape time via
 // CounterFunc/GaugeFunc instead of double-counting on the hot path.
 //
-// Metric naming follows the repo convention cityinfra_<subsystem>_<name>,
-// with Prometheus-style {label="value"} suffixes baked into the registered
-// name (labels are static for this in-process system, so pre-formatting
-// them keeps the record path free of string work).
+// Metric naming follows the repo convention cityinfra_<subsystem>_<name>.
+// A series with static labels is registered under its canonical full name,
+// FormatName(family, labels) — keys sorted, values escaped — so the record
+// path never does string work; per-entity labels whose cardinality must
+// stay bounded go through the vec families (CounterVec, GaugeVec,
+// HistogramVec).
 package telemetry
 
 import (
@@ -120,20 +122,6 @@ type Registry struct {
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{metrics: make(map[string]*metric)}
-}
-
-// WithLabel appends one {key="value"} label pair to a metric name,
-// pre-formatting it so the hot path never touches strings. Calling it on a
-// name that already has labels inserts the new pair before the closing
-// brace. Values are escaped per the exposition format (labels.go), so a
-// value containing quotes, backslashes, or newlines round-trips through
-// /metrics parsers exactly.
-func WithLabel(name, key, value string) string {
-	pair := key + `="` + EscapeLabelValue(value) + `"`
-	if n := len(name); n > 0 && name[n-1] == '}' {
-		return name[:n-1] + "," + pair + "}"
-	}
-	return name + "{" + pair + "}"
 }
 
 // baseName strips the {label...} suffix, yielding the metric family name

@@ -75,15 +75,21 @@ func TestParseNameCanonical(t *testing.T) {
 	}
 }
 
-func TestWithLabelEscapes(t *testing.T) {
-	name := WithLabel("m_total", "path", "C:\\tmp\"x\"\nend")
+func TestFormatNameEscapes(t *testing.T) {
+	name := FormatName("m_total", LabelSet{{Key: "path", Value: "C:\\tmp\"x\"\nend"}})
 	want := `m_total{path="C:\\tmp\"x\"\nend"}`
 	if name != want {
-		t.Fatalf("WithLabel = %q, want %q", name, want)
+		t.Fatalf("FormatName = %q, want %q", name, want)
 	}
-	_, labels, err := ParseName(name)
+	if baseName(name) != "m_total" {
+		t.Fatalf("baseName = %s", baseName(name))
+	}
+	family, labels, err := ParseName(name)
 	if err != nil {
-		t.Fatalf("ParseName(WithLabel(...)): %v", err)
+		t.Fatalf("ParseName(FormatName(...)): %v", err)
+	}
+	if family != "m_total" {
+		t.Fatalf("parsed family = %q", family)
 	}
 	if got := labels.Get("path"); got != "C:\\tmp\"x\"\nend" {
 		t.Fatalf("parsed value = %q", got)
